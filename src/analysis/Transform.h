@@ -42,7 +42,29 @@ Profile topDownTree(const Profile &P, const CancelToken &Cancel = {});
 /// value, its reversed call path (leaf frame outermost) is inserted and the
 /// exclusive value attributed along it. The first tree level therefore
 /// aggregates each function's total exclusive cost across all call paths.
+/// Node ids follow insertion order: contexts in id order, each reusing the
+/// longest reversed-path prefix an earlier context created.
 Profile bottomUpTree(const Profile &P, const CancelToken &Cancel = {});
+
+/// The part of bottomUpTree(P) a flame graph of one metric draws.
+struct BottomUpView {
+  /// The laid-out nodes of the bottom-up tree plus their culled children,
+  /// in bottom-up tree id order. A node whose children are not drawn is a
+  /// leaf stub whose exclusive value is its subtree's inclusive value, so
+  /// every node's inclusive value equals the full tree's bit for bit and a
+  /// FlameGraph over this tree matches one over bottomUpTree(P).
+  Profile Tree;
+  /// Tree node id -> id of the same node in bottomUpTree(P).
+  std::vector<NodeId> FullIds;
+};
+
+/// Lays out the bottom-up tree of \p P for \p Metric under the flame
+/// layout's \p MinWidth culling (render/FlameLayout.h) without building
+/// it: the cost is the contexts that share reversed-path prefixes times the
+/// depth they share, plus the nodes returned. A FlameGraph over the result
+/// must use the same MinWidth.
+BottomUpView bottomUpView(const Profile &P, MetricId Metric, double MinWidth,
+                          const CancelToken &Cancel = {});
 
 /// Builds the flat tree with hierarchy: root -> load module -> file ->
 /// function. Exclusive values sum per function. For each input metric an

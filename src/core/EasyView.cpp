@@ -63,19 +63,24 @@ Result<std::string> EasyViewEngine::flameSvg(int64_t Id,
 
   Profile Shaped;
   const Profile *View = P;
-  if (Options.Shape == "bottom-up") {
-    Shaped = bottomUpTree(*P);
-    View = &Shaped;
-  } else if (Options.Shape == "flat") {
+  if (Options.Shape == "flat") {
     Shaped = flatTree(*P);
     View = &Shaped;
-  } else if (Options.Shape != "top-down") {
+  } else if (Options.Shape != "top-down" && Options.Shape != "bottom-up") {
     return makeError("unknown flame shape '" + Options.Shape + "'");
   }
   if (Options.Metric >= View->metrics().size())
     return makeError("metric index out of range");
 
-  FlameGraph Graph(*View, Options.Metric);
+  // The bottom-up tree shares the source's metric schema; only the part of
+  // it the flame draws is built.
+  FlameLayoutOptions Layout;
+  BottomUpView Up;
+  if (Options.Shape == "bottom-up") {
+    Up = bottomUpView(*P, Options.Metric, Layout.MinWidth);
+    View = &Up.Tree;
+  }
+  FlameGraph Graph(*View, Options.Metric, Layout);
   SvgOptions Svg;
   Svg.WidthPx = Options.WidthPx;
   Svg.Title = View->name() + " (" + Options.Shape + ")";

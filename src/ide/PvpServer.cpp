@@ -508,16 +508,16 @@ Result<json::Value> PvpServer::doFlame(const json::Object &Params) {
     Shape = SV->asString();
 
   // Shape transforms produce a temporary tree; the geometry refers to it,
-  // so node ids in the reply are resolved back to names eagerly.
+  // so node ids in the reply are resolved back to names eagerly. The
+  // bottom-up tree shares the source's metric schema and is laid out below,
+  // once the metric is known, without building the whole inverted tree.
   Profile Shaped;
   const Profile *View = P->get();
-  if (Shape == "bottom-up") {
-    Shaped = bottomUpTree(**P, ActiveCancel);
-    View = &Shaped;
-  } else if (Shape == "flat") {
+  bool BottomUp = Shape == "bottom-up";
+  if (Shape == "flat") {
     Shaped = flatTree(**P, ActiveCancel);
     View = &Shaped;
-  } else if (Shape != "top-down") {
+  } else if (!BottomUp && Shape != "top-down") {
     return makeError("unknown shape '" + Shape +
                      "' (top-down, bottom-up, flat)");
   }
@@ -537,7 +537,13 @@ Result<json::Value> PvpServer::doFlame(const json::Object &Params) {
   // the reply is marked truncated and stays renderable.
   MaxRects = std::min(MaxRects, Limits.MaxFlameRects);
 
-  FlameGraph Graph(*View, *Metric);
+  FlameLayoutOptions Layout;
+  BottomUpView Up;
+  if (BottomUp) {
+    Up = bottomUpView(**P, *Metric, Layout.MinWidth, ActiveCancel);
+    View = &Up.Tree;
+  }
+  FlameGraph Graph(*View, *Metric, Layout);
   json::Object Out;
   Out.set("total", Graph.totalValue());
   Out.set("culled", Graph.culledCount());
@@ -552,7 +558,9 @@ Result<json::Value> PvpServer::doFlame(const json::Object &Params) {
         return makeError(DeadlineDiag);
     }
     json::Object RO;
-    RO.set("node", R.Node);
+    // Bottom-up rects name nodes of the whole inverted tree, the ids
+    // pvp/transform shape=bottom-up returns.
+    RO.set("node", BottomUp ? Up.FullIds[R.Node] : R.Node);
     RO.set("depth", R.Depth);
     RO.set("x", R.X);
     RO.set("width", R.Width);

@@ -379,13 +379,15 @@ void NetServer::acceptPending(uint64_t NowMs) {
           0, rpc::ServerOverloaded,
           "server at its connection cap (" +
               std::to_string(Opts.MaxConnections) + ")"));
+      // The drop is attributed before the close, as in dropConnection: a
+      // client that sees the close must already see the counters move.
       (void)sendNoSignal(Fd, Frame.data(), Frame.size());
-      closeSocket(Fd);
       M.Dropped.add();
       M.DropMaxConns.add();
       DroppedTotal.fetch_add(1, std::memory_order_relaxed);
       log("connection shed: at the " + std::to_string(Opts.MaxConnections) +
           "-connection cap (maxConnections)");
+      closeSocket(Fd);
       continue;
     }
 

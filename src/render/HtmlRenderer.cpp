@@ -61,9 +61,9 @@ std::string renderHtmlReport(const Profile &P, const HtmlOptions &Options) {
   }
   if (Options.IncludeBottomUp) {
     Out += "<h2>Bottom-up flame graph</h2>\n";
-    Profile BottomUp = bottomUpTree(P);
-    MetricId M2 = Metric < BottomUp.metrics().size() ? Metric : 0;
-    FlameGraph Graph(BottomUp, M2);
+    FlameLayoutOptions Layout;
+    BottomUpView BottomUp = bottomUpView(P, Metric, Layout.MinWidth);
+    FlameGraph Graph(BottomUp.Tree, Metric, Layout);
     Svg.Title = "bottom-up";
     Svg.Inverted = true;
     Out += renderSvg(Graph, Svg);

@@ -62,6 +62,11 @@ void ThreadPool::workerLoop() {
       if (ShuttingDown)
         return;
       SeenGeneration = JobGeneration;
+      // A worker that wakes after the caller retired the job must not join
+      // it: the caller no longer waits for it and may already be writing
+      // the next job's JobEnd/JobBody, which runChunks reads unlocked.
+      if (!JobBody)
+        continue;
       ++JobActiveWorkers;
       Chunk = JobChunk;
     }

@@ -244,20 +244,25 @@ int cmdFlame(const ParsedArgs &Args, std::string &Out, std::string &Err) {
     Shape = It->second;
   Profile Shaped;
   const Profile *View = &*Loaded;
-  if (Shape == "bottom-up") {
-    Shaped = bottomUpTree(*Loaded);
-    View = &Shaped;
-  } else if (Shape == "flat") {
+  if (Shape == "flat") {
     Shaped = flatTree(*Loaded);
     View = &Shaped;
-  } else if (Shape != "top-down") {
+  } else if (Shape != "top-down" && Shape != "bottom-up") {
     return failUsage(Err, "unknown shape '" + Shape + "'");
   }
   Result<MetricId> Metric = resolveMetric(*View, Args);
   if (!Metric)
     return failData(Err, Metric.error());
 
-  FlameGraph Graph(*View, *Metric);
+  // The bottom-up tree shares the source's metric schema; only the part of
+  // it the flame draws is built.
+  FlameLayoutOptions Layout;
+  BottomUpView Up;
+  if (Shape == "bottom-up") {
+    Up = bottomUpView(*Loaded, *Metric, Layout.MinWidth);
+    View = &Up.Tree;
+  }
+  FlameGraph Graph(*View, *Metric, Layout);
   if (auto It = Args.Options.find("svg"); It != Args.Options.end()) {
     SvgOptions Svg;
     Svg.Title = View->name() + " (" + Shape + ")";

@@ -83,7 +83,7 @@ ActionCosts costsFor(Tool T) {
 /// these actual data models.
 struct StudyFixtures {
   Profile Cpu;        ///< LULESH-style CPU profile (Tasks I & II).
-  Profile BottomUp;   ///< Its bottom-up transform.
+  BottomUpView BottomUp; ///< Its bottom-up flame's tree (metric 0).
   size_t HotLeaves;   ///< Distinct nonzero leaf contexts (manual work).
   unsigned HotPathDepth; ///< Rows to expand to reach the hot leaf.
   workload::GrpcLeakWorkload Leak; ///< Task III snapshots.
@@ -92,7 +92,8 @@ struct StudyFixtures {
     static StudyFixtures F = [] {
       StudyFixtures S;
       S.Cpu = workload::generateLuleshProfile({});
-      S.BottomUp = bottomUpTree(S.Cpu);
+      FlameLayoutOptions Layout;
+      S.BottomUp = bottomUpView(S.Cpu, 0, Layout.MinWidth);
       S.HotLeaves = 0;
       for (NodeId Id = 0; Id < S.Cpu.nodeCount(); ++Id)
         if (!S.Cpu.node(Id).Metrics.empty() &&
@@ -144,7 +145,7 @@ double taskIIMinutes(Tool T, const ActionCosts &C, Rng &R) {
   case Tool::EasyView: {
     // Bottom-up flame graph: search the category, read the reversed call
     // paths, and confirm a few call sites in the source.
-    FlameGraph Flame(F.BottomUp, 0);
+    FlameGraph Flame(F.BottomUp.Tree, 0);
     (void)Flame;
     for (unsigned K = 0; K < Categories; ++K) {
       Minutes += 2.9 * C.ScanFlame;      // Search + read the callers.
